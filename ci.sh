@@ -21,6 +21,11 @@ run_suite() {
 run_suite "cargo build --release" cargo build --workspace --release
 run_suite "cargo test" cargo test --workspace -q
 run_suite "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings
+# Benchmark self-tests: the stand-alone `benchmark/` package builds against
+# the workspace crates, so a crate change that breaks it (for example its
+# `pug_serve::json` import or its `obligations.parallel` read) fails here.
+run_suite "benchmark self-tests" \
+  cargo test --offline -q --manifest-path benchmark/Cargo.toml
 run_suite "fault-injection smoke (sequential)" \
   cargo run --release -p pug-bench --bin repro-tables -- --fault-injection --timeout 20
 run_suite "fault-injection smoke (portfolio)" \
@@ -30,20 +35,20 @@ run_suite "fault-injection smoke (portfolio)" \
 # exits non-zero if any verdict diverges across the three, and gates each
 # row's incremental wall time against the committed baseline (>10% + 50 ms
 # slack counts as a regression; rows absent from the quick grid are
-# reported, not gated). Also runs the rung-improvement grid and exits
-# non-zero unless at least one row's answering rung gets strictly
-# stronger with the generalized quantifier elimination on, verdicts
-# agreeing.
+# reported, not gated). Also runs the rung-improvement grid (each pair
+# through the ladder as is and with the `core::qelim` failpoint armed) and
+# exits non-zero unless at least one row's answering rung gets strictly
+# stronger with the generalized quantifier elimination, verdicts agreeing.
 run_suite "perf smoke + regression gate" \
   cargo run --release -p pug-bench --bin repro-tables -- \
     --bench-json /tmp/bench_pr10_ci.json --quick --timeout 60 \
     --baseline BENCH_pr10.json
-# Generalized-qelim smoke: the differential suite proving elimination-on
-# and elimination-off report identical verdicts across the corpus and a
-# fuzzed grid, that the symbolic-stride pair is answered by the fully
-# parameterized rung only with the elimination on, and that an armed
-# `core::qelim` failpoint degrades to the legacy drop path with correct
-# provenance. Plus the replay gate: every race the checker calls provable
+# Generalized-qelim smoke: the differential suite proving the checker
+# reports identical verdicts with the elimination running and with it
+# aborted by an armed `core::qelim` failpoint, across the corpus and a
+# fuzzed grid; that the symbolic-stride pair is answered by the fully
+# parameterized rung only when the elimination runs; and that the aborted
+# elimination degrades to the residual-drop path with correct provenance. Plus the replay gate: every race the checker calls provable
 # must carry a schedule this suite independently re-parses and replays.
 run_suite "qelim smoke" \
   cargo test -q --test qelim_differential

@@ -17,8 +17,8 @@
 //! once through the one-shot `check_detailed` path
 //! (`CheckOptions::one_shot()`, no cache), and once incrementally with the
 //! intra-rung obligation pool (`with_obligation_parallelism(4)`) — the
-//! `obl_par` object, with a `pool` sibling recording sessions forked,
-//! learnt-exchange traffic and per-shard cache hits. Per-stage timings
+//! `obl_par` object, with a `pool` sibling recording sessions forked and
+//! arrays screened or fallen back on. Per-stage timings
 //! (reduce / blast / solve), cache hit rates and clause reuse go out as
 //! JSON so the repo has a perf trajectory later PRs can diff. Phase-for-
 //! phase verdict agreement between the three modes is the correctness
@@ -26,7 +26,8 @@
 //!
 //! A second, smaller grid (`rung_rows`) measures what the generalized
 //! (Presburger) quantifier elimination buys: each pair runs through the
-//! resilient runner's degradation ladder with the elimination on and off,
+//! resilient runner's degradation ladder with the elimination on and with
+//! the `core::qelim` failpoint armed (elimination off),
 //! and the `rows_rung_improved` headline counts the rows whose answering
 //! rung got strictly stronger (e.g. a fully parameterized `Param` proof
 //! instead of a `NonParam(n=4)` fallback) while the verdict stayed
@@ -34,6 +35,7 @@
 
 use pugpara::equiv::{check_equivalence_param, CheckOptions, Mode, Report};
 use pugpara::runner::{run_resilient, Rung, RunnerOptions};
+use pugpara::failpoints::{self, Fault};
 use pugpara::{KernelUnit, QueryCache, Soundness, Verdict};
 use pug_ir::GpuConfig;
 use std::fmt::Write as _;
@@ -152,8 +154,8 @@ fn rows(quick: bool) -> Vec<RowSpec> {
 
 /// One rung-improvement row: a kernel pair pushed through the resilient
 /// runner's degradation ladder twice — once with the generalized
-/// (Presburger) quantifier elimination on (the default) and once with
-/// [`RunnerOptions::no_generalized_qelim`] — comparing which rung answers.
+/// (Presburger) quantifier elimination on (the default) and once with the
+/// `core::qelim` failpoint armed — comparing which rung answers.
 /// An *improved* row is one where the verdicts agree but the elimination
 /// lets a stronger rung answer (e.g. `Param` instead of `NonParam(n=4)`),
 /// i.e. the proof got strictly more general at no soundness cost.
@@ -236,17 +238,12 @@ fn verdict_class(v: Option<&Verdict>) -> &'static str {
 }
 
 /// Pool-engagement numbers of one pooled run of one row (all phases),
-/// harvested from a live [`MetricsRegistry`] and the shared cache's shard
-/// counters.
+/// harvested from a live [`MetricsRegistry`].
 #[derive(Default)]
 struct PoolMetrics {
     sessions: u64,
     obligations_parallel: u64,
     obligations_fallback: u64,
-    learnts_exchanged: u64,
-    learnts_imported: u64,
-    shard_hits: Vec<u64>,
-    cache_contended: u64,
 }
 
 fn run_mode(spec: &RowSpec, timeout: Duration, incremental: bool) -> ModeMetrics {
@@ -321,16 +318,6 @@ fn run_mode_pooled(
         p.sessions = snap.gauge("pool.sessions").unwrap_or(0);
         p.obligations_parallel = snap.counter("obligations.parallel");
         p.obligations_fallback = snap.counter("obligations.fallback");
-        p.learnts_exchanged = snap.counter("learnts.exchanged");
-        p.learnts_imported = snap.counter("learnts.imported");
-    }
-    if pool > 0 {
-        if let Some(c) = &cache {
-            for s in c.shard_stats() {
-                p.shard_hits.push(s.hits);
-                p.cache_contended += s.contended;
-            }
-        }
     }
     (m, p)
 }
@@ -366,30 +353,14 @@ fn json_mode(out: &mut String, key: &str, m: &ModeMetrics) {
 }
 
 /// The pool-engagement object emitted next to `obl_par`: how wide the
-/// obligation pool actually got, exchange traffic, and per-shard cache
-/// hits (only shards that saw traffic, as `[index, hits]` pairs, to keep
-/// the document readable).
+/// obligation pool actually got and how many arrays it screened or fell
+/// back on.
 fn json_pool(out: &mut String, p: &PoolMetrics) {
-    let shard_hits: Vec<String> = p
-        .shard_hits
-        .iter()
-        .enumerate()
-        .filter(|(_, h)| **h > 0)
-        .map(|(i, h)| format!("[{i}, {h}]"))
-        .collect();
     let _ = write!(
         out,
         "    \"pool\": {{\"sessions\": {}, \"obligations_parallel\": {}, \
-         \"obligations_fallback\": {}, \"learnts_exchanged\": {}, \
-         \"learnts_imported\": {}, \"cache_contended\": {}, \
-         \"shard_hits\": [{}]}}",
-        p.sessions,
-        p.obligations_parallel,
-        p.obligations_fallback,
-        p.learnts_exchanged,
-        p.learnts_imported,
-        p.cache_contended,
-        shard_hits.join(", "),
+         \"obligations_fallback\": {}}}",
+        p.sessions, p.obligations_parallel, p.obligations_fallback,
     );
 }
 
@@ -537,8 +508,9 @@ pub fn bench_json_report(timeout: Duration, quick: bool) -> BenchJsonReport {
         let on = run_resilient(&src, &tgt, &spec.cfg, &RunnerOptions::default());
         let on_wall = started.elapsed();
         let started = Instant::now();
-        let off =
-            run_resilient(&src, &tgt, &spec.cfg, &RunnerOptions::default().no_generalized_qelim());
+        failpoints::arm("core::qelim", Fault::BudgetExhausted);
+        let off = run_resilient(&src, &tgt, &spec.cfg, &RunnerOptions::default());
+        failpoints::disarm("core::qelim");
         let off_wall = started.elapsed();
         // Agreement compares the *outcome* (clean / bug / timeout), not the
         // soundness decoration: a stronger answering rung upgrades

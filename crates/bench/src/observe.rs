@@ -33,8 +33,7 @@ pub fn explain_corpus(quick: bool, aux_passes: bool) -> Vec<(String, ResilientRe
 
 /// Render the explain narrative (with times) for every corpus pair. Runs
 /// with the obligation pool enabled and a live registry so each narrative
-/// ends with the `parallelism:` section (pool engagement, learnt-exchange
-/// traffic, cache sharding).
+/// ends with the `parallelism:` section (pool engagement).
 pub fn explain_rows(quick: bool) -> String {
     let mut out = String::new();
     for p in crate::portfolio::grid(quick) {

@@ -36,7 +36,7 @@ use pug_ir::{
 use crate::portfolio::{QueryCache, WorkerPool};
 use pug_obs::{MetricsRegistry, MetricsSnapshot, TraceSpan};
 use pug_smt::{
-    assert_fingerprint, check_detailed_with, Budget, CancelToken, CheckStats, Ctx, LearntRing, Op,
+    assert_fingerprint, check_detailed_with, Budget, CancelToken, CheckStats, Ctx, Op,
     SimplifyConfig, SmtResult, SolveSession, Sort, TermId,
 };
 use std::collections::{HashMap, HashSet};
@@ -112,19 +112,6 @@ pub struct CheckOptions {
     /// sequential loop — so verdicts, witnesses and provenance are
     /// bit-identical to `sequential()` by construction.
     pub obligation_parallelism: usize,
-    /// Bounded learnt-clause exchange between pooled workers: short
-    /// prefix-only learnts are published to a shared ring and imported at
-    /// restart boundaries. Only affects solver-internal effort on the
-    /// pooled screen (never verdicts — see DESIGN.md §5). On by default;
-    /// meaningless when the check is sequential or one-shot.
-    pub learnt_exchange: bool,
-    /// Generalized (Presburger / Omega-test-lite) quantifier elimination:
-    /// symbolic-stride loop memberships and affine witness inversions that
-    /// the monotone-only `qelim` machinery cannot express. On by default;
-    /// when off (or when the `core::qelim` failpoint is armed) the engine
-    /// behaves exactly as before this pass existed — affected obligations
-    /// fall back to the residual-drop path and the rung downgrades.
-    pub generalized_qelim: bool,
 }
 
 impl Default for CheckOptions {
@@ -144,8 +131,6 @@ impl Default for CheckOptions {
             simplify: SimplifyConfig::default(),
             normalize: true,
             obligation_parallelism: 0,
-            learnt_exchange: true,
-            generalized_qelim: true,
         }
     }
 }
@@ -223,20 +208,6 @@ impl CheckOptions {
         self.obligation_parallelism = n;
         self
     }
-
-    /// Disable learnt-clause exchange between pooled workers.
-    pub fn without_learnt_exchange(mut self) -> CheckOptions {
-        self.learnt_exchange = false;
-        self
-    }
-
-    /// Disable the generalized (Presburger) quantifier elimination; the
-    /// differential suites use this to prove the fallback path still
-    /// reaches the same verdicts through the degradation ladder.
-    pub fn no_generalized_qelim(mut self) -> CheckOptions {
-        self.generalized_qelim = false;
-        self
-    }
 }
 
 /// Statistics of one SMT query issued during a check.
@@ -300,10 +271,6 @@ pub(crate) struct Session {
     /// Requested obligation pool width (`0` = auto); resolved per region
     /// comparison against the number of output arrays.
     obl_par: usize,
-    learnt_exchange: bool,
-    /// Generalized (Presburger) quantifier elimination enabled for this
-    /// session (see [`CheckOptions::generalized_qelim`]).
-    generalized_qelim: bool,
     /// Deferred cache accounting, present only on pooled *worker* sessions:
     /// lookups read the shared cache uncounted plus a per-array local set,
     /// and every op is logged for deterministic replay at merge time.
@@ -319,8 +286,8 @@ pub(crate) struct Session {
 #[derive(Clone, Copy, Debug)]
 enum CacheOp {
     /// A lookup that was answered from `local ∪ shared` without counting;
-    /// replay bumps the owning shard's hit/miss counter.
-    Lookup { fp: u128, hit: bool },
+    /// replay bumps the shared cache's hit/miss counter.
+    Lookup { hit: bool },
     /// A proven-unsat fingerprint recorded locally; replay inserts it into
     /// the shared cache.
     Record(u128),
@@ -402,8 +369,6 @@ impl Session {
             norm: pug_smt::normalize::Normalizer::new(),
             normalize: opts.normalize,
             obl_par: opts.obligation_parallelism,
-            learnt_exchange: opts.learnt_exchange,
-            generalized_qelim: opts.generalized_qelim,
             overlay: None,
             obl_pool: None,
         }
@@ -411,9 +376,9 @@ impl Session {
 
     /// Is the generalized (Presburger) elimination usable right now? The
     /// `core::qelim` failpoint simulates an aborted elimination: armed, the
-    /// engine degrades to the pre-Presburger residual-drop path.
+    /// engine degrades to the residual-drop path and the rung downgrades.
     pub(crate) fn qelim_enabled(&self) -> bool {
-        self.generalized_qelim && pug_smt::failpoints::check("core::qelim").is_none()
+        pug_smt::failpoints::check("core::qelim").is_none()
     }
 
     /// The innermost open span (segment scope or the check root).
@@ -636,7 +601,7 @@ impl Session {
                 // logged for deterministic replay at merge.
                 Some(ov) => {
                     let hit = ov.local.contains(&f) || cache.contains(f);
-                    ov.ops.push(CacheOp::Lookup { fp: f, hit });
+                    ov.ops.push(CacheOp::Lookup { hit });
                     hit
                 }
                 None => cache.lookup_unsat(f),
@@ -761,17 +726,8 @@ impl Session {
     /// clone of the term DAG, so every master `TermId` resolves identically
     /// in the worker. The worker runs under its own budget slice (child
     /// cancel token), records no trace (the master synthesizes the spans at
-    /// merge), uses the deferred cache overlay, and — when a ring is given —
-    /// exchanges short prefix-only learnt clauses with its siblings.
-    fn fork_worker(&self, budget: Budget, ring: Option<(&Arc<LearntRing>, usize)>) -> Session {
-        let mut solve = self.solve.clone();
-        if let Some((ring, member)) = ring {
-            solve.attach_exchange(
-                ring.clone(),
-                member,
-                pug_sat::exchange::DEFAULT_EXPORT_MAX_LEN,
-            );
-        }
+    /// merge) and uses the deferred cache overlay.
+    fn fork_worker(&self, budget: Budget) -> Session {
         Session {
             ctx: self.ctx.clone(),
             budget,
@@ -780,7 +736,7 @@ impl Session {
             bits: self.bits,
             soundness: self.soundness,
             mode: self.mode,
-            solve,
+            solve: self.solve.clone(),
             committed: self.committed.clone(),
             incremental: self.incremental,
             cache: self.cache.clone(),
@@ -792,8 +748,6 @@ impl Session {
             norm: self.norm.clone(),
             normalize: self.normalize,
             obl_par: 1,
-            learnt_exchange: false,
-            generalized_qelim: self.generalized_qelim,
             overlay: self.cache.as_ref().map(|_| CacheOverlay::default()),
             obl_pool: None,
         }
@@ -826,7 +780,6 @@ impl Session {
         m.add("sat.decisions", stats.sat.decisions);
         m.add("sat.restarts", stats.sat.restarts);
         m.add("sat.learnt_clauses", stats.sat.learnt_clauses);
-        m.add("sat.learnts_imported", stats.sat.learnts_imported);
         m.add("sat.vars_eliminated", stats.sat.vars_eliminated);
         m.add("sat.clauses_subsumed", stats.sat.clauses_subsumed);
         m.add("sat.clauses_vivified", stats.sat.clauses_vivified);
@@ -1195,6 +1148,21 @@ fn compare_regions(
             sess, bound, region_s, region_t, outputs, base, extra, members,
         );
     }
+    compare_regions_sequential(sess, bound, region_s, region_t, outputs, base, extra)
+}
+
+/// The plain per-array loop, in output order: resolve, then check, and
+/// stop at the first decisive verdict. Both the sequential path and the
+/// pooled screen's fallback run exactly this.
+fn compare_regions_sequential(
+    sess: &mut Session,
+    bound: &BoundConfig,
+    region_s: &ParamRegion,
+    region_t: &ParamRegion,
+    outputs: &[String],
+    base: &[TermId],
+    extra: &[TermId],
+) -> Result<Stop, Error> {
     for array in outputs {
         let plan = resolve_array(sess, bound, region_s, region_t, array);
         sess.note_ca_chain(
@@ -1282,8 +1250,6 @@ fn compare_regions_pooled(
         .map(|p| (p.out_s.insts.len(), p.out_t.insts.len(), p.obs_s.len() + p.obs_t.len()))
         .collect();
 
-    let ring = (sess.incremental && sess.learnt_exchange)
-        .then(|| Arc::new(LearntRing::new(pug_sat::exchange::DEFAULT_RING_CAPACITY)));
     let budgets = sess.budget.split(members);
     let tokens: Vec<CancelToken> = budgets.iter().map(|b| b.cancel.clone()).collect();
     let shared = Arc::new(PooledShared {
@@ -1300,8 +1266,8 @@ fn compare_regions_pooled(
     let (tx, rx) = channel::<WorkerMsg>();
 
     let mut jobs: Vec<Box<dyn FnOnce() + Send + 'static>> = Vec::with_capacity(members);
-    for (member, budget) in budgets.into_iter().enumerate() {
-        let worker = sess.fork_worker(budget, ring.as_ref().map(|r| (r, member)));
+    for budget in budgets {
+        let worker = sess.fork_worker(budget);
         let shared = Arc::clone(&shared);
         let tx = tx.clone();
         jobs.push(Box::new(move || {
@@ -1402,10 +1368,6 @@ fn compare_regions_pooled(
         // Deterministic merge, in array index order.
         sess.metrics.set_gauge("pool.sessions", members as u64);
         sess.metrics.add("obligations.parallel", n_arrays as u64);
-        if let Some(ring) = &ring {
-            sess.metrics.add("learnts.exchanged", ring.exported());
-            sess.metrics.add("learnts.imported", ring.imported());
-        }
         for (i, slot) in clean.into_iter().enumerate() {
             let out = *slot.expect("checked all clean");
             let (is_, it, ob) = counts[i];
@@ -1413,7 +1375,7 @@ fn compare_regions_pooled(
             for op in &out.cache_ops {
                 if let Some(cache) = &sess.cache {
                     match *op {
-                        CacheOp::Lookup { fp, hit } => cache.note_lookup(fp, hit),
+                        CacheOp::Lookup { hit } => cache.note_lookup(hit),
                         CacheOp::Record(fp) => cache.record_unsat(fp),
                     }
                 }
@@ -1448,19 +1410,7 @@ fn compare_regions_pooled(
     // are absorbed.
     sess.restore(snap);
     sess.metrics.incr("obligations.fallback");
-    for array in outputs {
-        let plan = resolve_array(sess, bound, region_s, region_t, array);
-        sess.note_ca_chain(
-            &plan.array,
-            plan.out_s.insts.len(),
-            plan.out_t.insts.len(),
-            plan.obs_s.len() + plan.obs_t.len(),
-        );
-        if let Some(v) = check_array(sess, bound, &plan, region_s, region_t, base, extra)? {
-            return Ok(Some(v));
-        }
-    }
-    Ok(None)
+    compare_regions_sequential(sess, bound, region_s, region_t, outputs, base, extra)
 }
 
 enum DirectionOutcome {
@@ -2037,7 +1987,7 @@ fn lower_config_expr(
         // Scalar kernel parameters are sound bounds: the symbolic lowering
         // (`exec.rs`) binds them as free variables by the same name, so
         // `mk_var` here denotes the identical value. Gated on the
-        // generalized qelim so the legacy path keeps its exact behavior.
+        // generalized qelim, like every Presburger-backed step.
         Expr::Ident(name) if params.contains(name) && sess.qelim_enabled() => {
             match sess.conc.get(name).copied() {
                 Some(v) => sess.ctx.mk_bv_const(v, w),
@@ -2169,10 +2119,10 @@ fn space_constraint(
         }
         // Symbolic stride (`i += bdim.x` and friends): the membership set
         // is no longer expressible by the monotone qelim machinery — it
-        // needs the Presburger stride encoding. When the generalized
-        // elimination is off (or failpoint-aborted) this degrades to the
-        // pre-Presburger behavior: the obligation is dropped as residual
-        // and the caller's rung fails over to the degradation ladder.
+        // needs the Presburger stride encoding. When the `core::qelim`
+        // failpoint aborts the generalized elimination, the obligation is
+        // dropped as residual and the caller's rung fails over to the
+        // degradation ladder.
         LoopSpace::LinearUpSym { start, bound: b, step, inclusive } => {
             if !sess.qelim_enabled() {
                 sess.metrics.incr("qelim.residual_dropped");

@@ -47,8 +47,7 @@ pub fn explain_report(report: &ResilientReport) -> String {
 
 /// Render the narrative plus a `parallelism:` section sourced from a
 /// [`MetricsSnapshot`] of the run's registry: obligation-pool engagement
-/// (sessions forked, arrays screened in parallel, decisive fallbacks),
-/// learnt-clause exchange traffic, and query-cache sharding/contention.
+/// (sessions forked, arrays screened in parallel, decisive fallbacks).
 /// Everything here varies with the machine, so the section obeys
 /// [`ExplainOptions::show_times`].
 pub fn explain_full(
@@ -75,19 +74,6 @@ pub fn explain_full(
             sessions,
             metrics.counter("obligations.parallel"),
             metrics.counter("obligations.fallback"),
-        );
-        let _ = writeln!(
-            out,
-            "  learnt exchange: {} clauses exported, {} imported",
-            metrics.counter("learnts.exchanged"),
-            metrics.counter("learnts.imported"),
-        );
-    }
-    if let Some(shards) = metrics.gauge("cache.shards") {
-        let _ = writeln!(
-            out,
-            "  query cache: {shards} shards, {} contended lockings",
-            metrics.gauge("cache.contended").unwrap_or(0),
         );
     }
     out
@@ -187,12 +173,10 @@ pub fn explain_with(report: &ResilientReport, opts: &ExplainOptions) -> String {
         let _ = writeln!(out, "  total            {:>7.2}s wall", report.elapsed.as_secs_f64());
         let _ = writeln!(
             out,
-            "  search effort: {} conflicts, {} propagations, {} learnt clauses \
-             ({} imported), {} restarts",
+            "  search effort: {} conflicts, {} propagations, {} learnt clauses, {} restarts",
             effort.conflicts,
             effort.propagations,
             effort.learnt_clauses,
-            effort.learnts_imported,
             effort.restarts,
         );
         let _ = writeln!(

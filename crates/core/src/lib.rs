@@ -76,8 +76,7 @@ pub use kernel::KernelUnit;
 pub use perf::{check_bank_conflicts, check_coalescing, PerfReport};
 pub use portfolio::{
     run_portfolio, verify_all, verify_all_on, PortfolioOptions, QueryCache, QueryCacheStats,
-    ShardStats, VerifyTask, WorkerPool, DEFAULT_QUERY_CACHE_CAPACITY,
-    DEFAULT_QUERY_CACHE_SHARDS,
+    VerifyTask, WorkerPool, DEFAULT_QUERY_CACHE_CAPACITY,
 };
 pub use postcond::{check_postcondition_nonparam, check_postcondition_param};
 pub use pug_smt::failpoints;

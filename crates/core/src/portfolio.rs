@@ -54,7 +54,6 @@ use pug_smt::CancelToken;
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -65,12 +64,6 @@ use std::time::{Duration, Instant};
 /// far beyond what any single run records — and the cap only exists so a
 /// long-lived process (the `pug-serve` daemon) cannot grow without bound.
 pub const DEFAULT_QUERY_CACHE_CAPACITY: usize = 1 << 20;
-
-/// Default number of [`QueryCache`] shards (a power of two). Sixteen
-/// shards keep the per-shard mutex essentially uncontended for any
-/// obligation pool the verifier spawns (pool sizes track core counts)
-/// while the fixed overhead — sixteen empty `HashSet`s — stays trivial.
-pub const DEFAULT_QUERY_CACHE_SHARDS: usize = 16;
 
 /// Acquire `m`, recovering the guard if a panicking holder poisoned it.
 ///
@@ -104,44 +97,33 @@ fn recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// the long-lived `pug-serve` daemon, where one process-wide cache absorbs
 /// every submitted kernel family indefinitely.
 ///
-/// ## Sharding
-///
-/// The store is split into a power-of-two number of *shards*, each its own
-/// `Mutex<CacheInner>` selected by folding the 128-bit fingerprint
-/// (`(fp ^ (fp >> 64)) & mask`). Concurrent obligation workers therefore
-/// serialize only when two lookups land on the same shard, not on one
-/// process-wide lock; the `contended` counter per shard records how often
-/// a lock was actually busy (`try_lock` failed and the caller had to
-/// wait). Capacity is divided evenly across shards and eviction is FIFO
-/// *per shard*, so with more than one shard the retention bound is
-/// approximate: total occupancy never exceeds
-/// `max(shards, capacity)` entries. Single-shard caches
-/// ([`QueryCache::with_shards`]`(cap, 1)`) keep the exact global FIFO.
+/// All state sits behind one mutex, so the bound is an exact global FIFO
+/// and the counters in [`QueryCache::stats`] are mutually consistent.
 #[derive(Clone)]
 pub struct QueryCache {
-    shards: Arc<[CacheShard]>,
-    /// `shards.len() - 1`; shard count is a power of two.
-    mask: usize,
-    /// The requested (global) retention bound, as reported by `stats()`.
-    capacity: usize,
+    inner: Arc<Mutex<CacheInner>>,
 }
 
-/// One lock's worth of [`QueryCache`]: a fingerprint set with FIFO
-/// eviction order plus its own hit/miss/contention counters (atomics, so
-/// the read path never takes a second lock to account for itself).
-struct CacheShard {
-    inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    contended: AtomicU64,
-}
-
+/// The cache state behind its one lock: a fingerprint set with FIFO
+/// eviction order plus the hit/miss/eviction counters.
 struct CacheInner {
     set: HashSet<u128>,
     /// Insertion order of the fingerprints in `set`, for FIFO eviction.
     order: VecDeque<u128>,
     capacity: usize,
+    hits: u64,
+    misses: u64,
     evictions: u64,
+}
+
+impl CacheInner {
+    fn count(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
 }
 
 /// Point-in-time counters of a [`QueryCache`].
@@ -157,23 +139,6 @@ pub struct QueryCacheStats {
     pub misses: u64,
     /// Fingerprints dropped to stay within `capacity`.
     pub evictions: u64,
-    /// Number of shards the store is split across.
-    pub shards: usize,
-    /// Lookups/records that found their shard's lock busy and had to wait.
-    pub contended: u64,
-}
-
-/// Per-shard counters of a [`QueryCache`] (see [`QueryCache::shard_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Distinct unsat fingerprints currently stored in this shard.
-    pub entries: usize,
-    /// Lookups answered from this shard.
-    pub hits: u64,
-    /// Lookups on this shard that had to be solved.
-    pub misses: u64,
-    /// Acquisitions that found this shard's lock busy.
-    pub contended: u64,
 }
 
 impl Default for QueryCache {
@@ -187,66 +152,31 @@ impl QueryCache {
         QueryCache::default()
     }
 
-    /// A cache retaining at most `capacity` fingerprints (FIFO eviction),
-    /// split across [`DEFAULT_QUERY_CACHE_SHARDS`] shards. A capacity of
-    /// zero stores nothing (every record is evicted on the spot) while
-    /// still counting lookups.
+    /// A cache retaining at most `capacity` fingerprints (FIFO eviction).
+    /// A capacity of zero stores nothing (every record is evicted on the
+    /// spot) while still counting lookups.
     pub fn with_capacity(capacity: usize) -> QueryCache {
-        QueryCache::with_shards(capacity, DEFAULT_QUERY_CACHE_SHARDS)
-    }
-
-    /// A cache with an explicit shard count. `shards` is rounded up to
-    /// the next power of two (minimum one); capacity is divided evenly,
-    /// with every shard granted at least one slot when `capacity > 0` so
-    /// a tiny capacity does not degenerate into a zero-retention cache.
-    pub fn with_shards(capacity: usize, shards: usize) -> QueryCache {
-        let n = shards.max(1).next_power_of_two();
-        let per_shard = if capacity == 0 { 0 } else { (capacity / n).max(1) };
-        let shards: Vec<CacheShard> = (0..n)
-            .map(|_| CacheShard {
-                inner: Mutex::new(CacheInner {
-                    set: HashSet::new(),
-                    order: VecDeque::new(),
-                    capacity: per_shard,
-                    evictions: 0,
-                }),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                contended: AtomicU64::new(0),
-            })
-            .collect();
-        QueryCache { shards: shards.into(), mask: n - 1, capacity }
-    }
-
-    /// Shard index for a fingerprint: fold the two 64-bit halves together
-    /// (the canonical hash mixes well in both) and mask.
-    fn shard_index(&self, fp: u128) -> usize {
-        ((fp ^ (fp >> 64)) as usize) & self.mask
-    }
-
-    /// Lock a shard's store, counting the acquisition as contended when
-    /// the lock was busy on first try. Poisoned locks are recovered like
-    /// [`recover`].
-    fn lock_shard(shard: &CacheShard) -> MutexGuard<'_, CacheInner> {
-        match shard.inner.try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                shard.contended.fetch_add(1, Ordering::Relaxed);
-                recover(&shard.inner)
-            }
+        QueryCache {
+            inner: Arc::new(Mutex::new(CacheInner {
+                set: HashSet::new(),
+                order: VecDeque::new(),
+                capacity,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            })),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        recover(&self.inner)
     }
 
     /// Is this fingerprint a known-unsat assert set? Counts a hit or miss.
     pub fn lookup_unsat(&self, fp: u128) -> bool {
-        let shard = &self.shards[self.shard_index(fp)];
-        let hit = Self::lock_shard(shard).set.contains(&fp);
-        if hit {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut inner = self.lock();
+        let hit = inner.set.contains(&fp);
+        inner.count(hit);
         hit
     }
 
@@ -255,27 +185,20 @@ impl QueryCache {
     /// overlay, where the hit/miss is replayed later via
     /// [`QueryCache::note_lookup`] in deterministic merge order.
     pub fn contains(&self, fp: u128) -> bool {
-        let shard = &self.shards[self.shard_index(fp)];
-        Self::lock_shard(shard).set.contains(&fp)
+        self.lock().set.contains(&fp)
     }
 
     /// Account a lookup that was performed earlier through
-    /// [`QueryCache::contains`]: bumps the owning shard's hit or miss
-    /// counter without touching the store.
-    pub fn note_lookup(&self, fp: u128, hit: bool) {
-        let shard = &self.shards[self.shard_index(fp)];
-        if hit {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-        }
+    /// [`QueryCache::contains`]: bumps the hit or miss counter without
+    /// touching the store.
+    pub fn note_lookup(&self, hit: bool) {
+        self.lock().count(hit);
     }
 
-    /// Record a proven-unsat assert set, evicting the oldest entries of
-    /// its shard if that shard is at capacity.
+    /// Record a proven-unsat assert set, evicting the oldest entries if
+    /// the cache is at capacity.
     pub fn record_unsat(&self, fp: u128) {
-        let shard = &self.shards[self.shard_index(fp)];
-        let mut inner = Self::lock_shard(shard);
+        let mut inner = self.lock();
         if inner.set.insert(fp) {
             inner.order.push_back(fp);
             while inner.order.len() > inner.capacity {
@@ -287,68 +210,44 @@ impl QueryCache {
         }
     }
 
-    /// Lookups answered from the cache (all shards).
+    /// Lookups answered from the cache.
     pub fn hits(&self) -> usize {
-        self.shards.iter().map(|s| s.hits.load(Ordering::Relaxed)).sum::<u64>() as usize
+        self.lock().hits as usize
     }
 
-    /// Lookups that had to be solved (all shards).
+    /// Lookups that had to be solved.
     pub fn misses(&self) -> usize {
-        self.shards.iter().map(|s| s.misses.load(Ordering::Relaxed)).sum::<u64>() as usize
+        self.lock().misses as usize
     }
 
-    /// Fingerprints evicted to stay within capacity (all shards).
+    /// Fingerprints evicted to stay within capacity.
     pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| Self::lock_shard(s).evictions).sum()
+        self.lock().evictions
     }
 
-    /// Distinct unsat fingerprints stored (all shards).
+    /// Distinct unsat fingerprints stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| Self::lock_shard(s).set.len()).sum()
+        self.lock().set.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// All counters in one aggregate snapshot (shards are read one after
-    /// another, so concurrent writers can skew totals by a few entries —
-    /// the counters are monotonic, never inconsistent).
+    /// All counters in one consistent snapshot.
     pub fn stats(&self) -> QueryCacheStats {
-        let mut s = QueryCacheStats {
-            capacity: self.capacity,
-            shards: self.shards.len(),
-            ..QueryCacheStats::default()
-        };
-        for shard in self.shards.iter() {
-            let inner = Self::lock_shard(shard);
-            s.entries += inner.set.len();
-            s.evictions += inner.evictions;
-            drop(inner);
-            s.hits += shard.hits.load(Ordering::Relaxed);
-            s.misses += shard.misses.load(Ordering::Relaxed);
-            s.contended += shard.contended.load(Ordering::Relaxed);
+        let inner = self.lock();
+        QueryCacheStats {
+            entries: inner.set.len(),
+            capacity: inner.capacity,
+            hits: inner.hits,
+            misses: inner.misses,
+            evictions: inner.evictions,
         }
-        s
-    }
-
-    /// Per-shard counters, in shard-index order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|shard| ShardStats {
-                entries: Self::lock_shard(shard).set.len(),
-                hits: shard.hits.load(Ordering::Relaxed),
-                misses: shard.misses.load(Ordering::Relaxed),
-                contended: shard.contended.load(Ordering::Relaxed),
-            })
-            .collect()
     }
 
     /// Surface the cache counters as `cache.*` gauges in `metrics`
-    /// (no-op on a disabled registry). Aggregates come first; per-shard
-    /// contention counters are published as `cache.shard<i>.contended`
-    /// (hits likewise) so a hot shard is visible in `/metrics` output.
+    /// (no-op on a disabled registry).
     pub fn publish(&self, metrics: &MetricsRegistry) {
         if !metrics.is_enabled() {
             return;
@@ -359,12 +258,6 @@ impl QueryCache {
         metrics.set_gauge("cache.hits", s.hits);
         metrics.set_gauge("cache.misses", s.misses);
         metrics.set_gauge("cache.evictions", s.evictions);
-        metrics.set_gauge("cache.shards", s.shards as u64);
-        metrics.set_gauge("cache.contended", s.contended);
-        for (i, sh) in self.shard_stats().iter().enumerate() {
-            metrics.set_gauge(&format!("cache.shard{i}.hits"), sh.hits);
-            metrics.set_gauge(&format!("cache.shard{i}.contended"), sh.contended);
-        }
     }
 }
 
@@ -377,8 +270,6 @@ impl fmt::Debug for QueryCache {
             .field("hits", &s.hits)
             .field("misses", &s.misses)
             .field("evictions", &s.evictions)
-            .field("shards", &s.shards)
-            .field("contended", &s.contended)
             .finish()
     }
 }
@@ -852,8 +743,7 @@ mod tests {
 
     #[test]
     fn query_cache_evicts_fifo_at_capacity() {
-        // Single-shard: the only configuration with an exact global FIFO.
-        let cache = QueryCache::with_shards(3, 1);
+        let cache = QueryCache::with_capacity(3);
         for fp in 0..3u128 {
             cache.record_unsat(fp);
         }
@@ -874,26 +764,31 @@ mod tests {
         assert_eq!((s.entries, s.capacity, s.evictions), (3, 3, 2));
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 2);
-        assert_eq!(s.shards, 1);
     }
 
     #[test]
-    fn query_cache_shards_partition_and_aggregate() {
-        let cache = QueryCache::with_capacity(64);
+    fn query_cache_capacity_is_a_global_bound() {
+        let cache = QueryCache::with_capacity(4);
+        for fp in 0..16u128 {
+            cache.record_unsat(fp);
+        }
         let s = cache.stats();
-        assert_eq!(s.shards, DEFAULT_QUERY_CACHE_SHARDS);
-        // Fingerprints spanning every shard index land in distinct shards
-        // and aggregate back to the global counts.
+        assert_eq!((s.entries, s.capacity, s.evictions), (4, 4, 12));
+        // Exactly the four newest fingerprints survive.
+        for fp in 0..12u128 {
+            assert!(!cache.contains(fp), "fingerprint {fp} outlived the bound");
+        }
+        for fp in 12..16u128 {
+            assert!(cache.contains(fp));
+        }
+    }
+
+    #[test]
+    fn query_cache_deferred_lookup_accounting() {
+        let cache = QueryCache::with_capacity(64);
         for fp in 0..32u128 {
             cache.record_unsat(fp);
         }
-        assert_eq!(cache.len(), 32);
-        let per_shard = cache.shard_stats();
-        assert_eq!(per_shard.len(), DEFAULT_QUERY_CACHE_SHARDS);
-        assert_eq!(per_shard.iter().map(|s| s.entries).sum::<usize>(), 32);
-        // fp and fp^(fp>>64) agree for small values: 0..16 covers each
-        // shard exactly twice with 32 entries.
-        assert!(per_shard.iter().all(|s| s.entries == 2));
         for fp in 0..32u128 {
             assert!(cache.lookup_unsat(fp));
         }
@@ -905,8 +800,8 @@ mod tests {
         assert!(cache.contains(5));
         let before = cache.stats();
         assert_eq!((before.hits, before.misses), (32, 1), "contains must not count");
-        cache.note_lookup(5, true);
-        cache.note_lookup(999, false);
+        cache.note_lookup(true);
+        cache.note_lookup(false);
         let after = cache.stats();
         assert_eq!((after.hits, after.misses), (33, 2));
     }
@@ -924,19 +819,18 @@ mod tests {
     fn query_cache_survives_poisoning() {
         let cache = QueryCache::with_capacity(8);
         cache.record_unsat(1);
-        // Poison the shard mutex holding fingerprint 1 the way a panicking
-        // worker would: unwind while holding the guard. Fingerprint 2 maps
-        // to a different shard, so the recovery path is exercised on both
-        // the poisoned shard (lookup of 1) and a healthy one (record of 2).
+        // Poison the cache mutex the way a panicking worker would: unwind
+        // while holding the guard.
         let c2 = cache.clone();
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let _ = std::thread::spawn(move || {
-            let _guard = recover(&c2.shards[c2.shard_index(1)].inner);
+            let _guard = c2.lock();
             panic!("worker dies holding the cache lock");
         })
         .join();
         std::panic::set_hook(hook);
+        assert!(cache.inner.is_poisoned());
         // A poisoned lock must not silently degrade to a permanent miss.
         assert!(cache.lookup_unsat(1), "hit must survive lock poisoning");
         cache.record_unsat(2);
@@ -958,11 +852,6 @@ mod tests {
         assert_eq!(snap.gauge("cache.hits"), Some(1));
         assert_eq!(snap.gauge("cache.misses"), Some(1));
         assert_eq!(snap.gauge("cache.evictions"), Some(0));
-        assert_eq!(snap.gauge("cache.shards"), Some(DEFAULT_QUERY_CACHE_SHARDS as u64));
-        assert_eq!(snap.gauge("cache.contended"), Some(0));
-        // Per-shard counters: fingerprint 1 lives in shard 1, 9 in shard 9.
-        assert_eq!(snap.gauge("cache.shard1.hits"), Some(1));
-        assert_eq!(snap.gauge("cache.shard9.contended"), Some(0));
     }
 
     #[test]

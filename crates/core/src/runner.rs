@@ -266,11 +266,6 @@ pub struct RunnerOptions {
     /// forces the sequential obligation loop, `n ≥ 2` pools up to `n`
     /// solver sessions per region comparison.
     pub obligation_parallelism: usize,
-    /// Generalized (Presburger) quantifier elimination, forwarded to every
-    /// rung and aux pass ([`CheckOptions::generalized_qelim`]). On by
-    /// default; the differential suites turn it off to prove the ladder
-    /// reaches identical verdicts through the legacy residual-drop path.
-    pub generalized_qelim: bool,
 }
 
 impl Default for RunnerOptions {
@@ -288,7 +283,6 @@ impl Default for RunnerOptions {
             aux_passes: false,
             normalize: true,
             obligation_parallelism: 0,
-            generalized_qelim: true,
         }
     }
 }
@@ -327,13 +321,6 @@ impl RunnerOptions {
     /// sequential).
     pub fn with_obligation_parallelism(mut self, n: usize) -> RunnerOptions {
         self.obligation_parallelism = n;
-        self
-    }
-
-    /// Disable the generalized (Presburger) quantifier elimination on
-    /// every rung and aux pass.
-    pub fn no_generalized_qelim(mut self) -> RunnerOptions {
-        self.generalized_qelim = false;
         self
     }
 }
@@ -520,7 +507,6 @@ pub(crate) fn dispatch_rung(
     check_opts.query_cache = opts.query_cache.clone();
     check_opts.normalize = opts.normalize;
     check_opts.obligation_parallelism = opts.obligation_parallelism;
-    check_opts.generalized_qelim = opts.generalized_qelim;
     match rung {
         Rung::Param => check_equivalence_param(src, tgt, cfg, &check_opts),
         Rung::ParamConcretized => {
@@ -733,7 +719,6 @@ pub(crate) fn run_aux_passes(
             query_cache: opts.query_cache.clone(),
             normalize: opts.normalize,
             obligation_parallelism: opts.obligation_parallelism,
-            generalized_qelim: opts.generalized_qelim,
             ..CheckOptions::default()
         };
         let started = Instant::now();

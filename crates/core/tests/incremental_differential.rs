@@ -11,7 +11,17 @@ use pugpara::{KernelUnit, QueryCache, Verdict};
 use pug_ir::GpuConfig;
 use pug_smt::failpoints::{self, Fault};
 use pug_testutil::KernelGen;
+use std::sync::{RwLock, RwLockReadGuard};
 use std::time::Duration;
+
+/// Failpoints are process-global and this binary's tests run concurrently:
+/// the test that arms one holds the write side, every other test a read
+/// side, so no check runs while a fault is armed for someone else.
+static FAULT_LOCK: RwLock<()> = RwLock::new(());
+
+fn unarmed() -> RwLockReadGuard<'static, ()> {
+    FAULT_LOCK.read().unwrap_or_else(|e| e.into_inner())
+}
 
 fn load(src: &str) -> KernelUnit {
     KernelUnit::load(src).unwrap()
@@ -65,6 +75,7 @@ fn differential(label: &str, src: &KernelUnit, tgt: &KernelUnit, cfg: &GpuConfig
 
 #[test]
 fn corpus_pairs_agree() {
+    let _unarmed = unarmed();
     let cases: &[(&str, &str, &str, GpuConfig)] = &[
         (
             "transpose ok",
@@ -104,6 +115,7 @@ fn corpus_pairs_agree() {
 
 #[test]
 fn reduction_pair_agrees_concretized() {
+    let _unarmed = unarmed();
     let v0 = load(pug_kernels::reduction::V0);
     let v1 = load(pug_kernels::reduction::V1);
     let cfg = GpuConfig::symbolic_1d(8);
@@ -115,6 +127,7 @@ fn reduction_pair_agrees_concretized() {
 
 #[test]
 fn fuzzed_kernels_agree_with_one_shot() {
+    let _unarmed = unarmed();
     // Self-equivalence of generated kernels: many obligations per check,
     // shared premise prefixes — exactly the profile the session optimizes.
     for seed in 0..12u64 {
@@ -135,6 +148,7 @@ fn fuzzed_kernels_agree_with_one_shot() {
 
 #[test]
 fn fuzzed_basic_profile_agrees() {
+    let _unarmed = unarmed();
     for seed in 100..108u64 {
         let src = KernelGen::basic(seed).kernel();
         let Ok(unit) = KernelUnit::load(&src) else { continue };
@@ -147,6 +161,7 @@ fn fuzzed_basic_profile_agrees() {
 
 #[test]
 fn budget_exhaustion_mid_session_agrees() {
+    let _armed = FAULT_LOCK.write().unwrap_or_else(|e| e.into_inner());
     // Failpoint-injected budget exhaustion at the SMT boundary: both paths
     // trip the same `smt::check` site on every query, so both degrade to
     // the same Timeout verdict instead of diverging or crashing.
@@ -167,6 +182,7 @@ fn budget_exhaustion_mid_session_agrees() {
 
 #[test]
 fn tiny_conflict_cap_does_not_crash_session() {
+    let _unarmed = unarmed();
     // A starvation-level per-query conflict cap: verdicts may legitimately
     // be Timeout, but the session must never panic, poison the process, or
     // report a bug/proof the one-shot path contradicts.
@@ -182,6 +198,7 @@ fn tiny_conflict_cap_does_not_crash_session() {
 
 #[test]
 fn query_cache_short_circuits_repeat_checks() {
+    let _unarmed = unarmed();
     // Two identical checks sharing one cache: the second run's obligations
     // are all cache hits, and the verdict is unchanged.
     let naive = load(pug_kernels::transpose::NAIVE);

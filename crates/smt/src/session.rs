@@ -109,27 +109,6 @@ impl SolveSession {
         self.clone()
     }
 
-    /// Number of SAT variables allocated so far — the **prefix high-water
-    /// mark** for a replica forked right now: any variable a later query
-    /// allocates (guards, goal gates) sits at or above this index.
-    pub fn num_vars(&self) -> usize {
-        self.sat.num_vars()
-    }
-
-    /// Join this session to a learnt-clause exchange ring as `member`.
-    /// The prefix high-water mark is captured *now*, so only clauses over
-    /// already-allocated (prefix) variables will be exported; clauses up to
-    /// `max_len` literals qualify. Import happens at restart boundaries.
-    pub fn attach_exchange(
-        &mut self,
-        ring: std::sync::Arc<pug_sat::LearntRing>,
-        member: usize,
-        max_len: usize,
-    ) {
-        let mark = self.sat.num_vars() as u32;
-        self.sat.set_exchange(pug_sat::Exchange::new(ring, member, mark, max_len));
-    }
-
     /// Is `t` already part of the committed prefix?
     pub fn is_committed(&self, t: TermId) -> bool {
         self.committed_set.contains(&t)
@@ -351,7 +330,6 @@ fn stats_delta(after: Stats, before: Stats) -> Stats {
         vars_eliminated: after.vars_eliminated.saturating_sub(before.vars_eliminated),
         clauses_subsumed: after.clauses_subsumed.saturating_sub(before.clauses_subsumed),
         clauses_vivified: after.clauses_vivified.saturating_sub(before.clauses_vivified),
-        learnts_imported: after.learnts_imported.saturating_sub(before.learnts_imported),
     }
 }
 

@@ -124,12 +124,9 @@ fn main() {
                 }
             };
             println!(
-                "  pool={pool}  {wall:>7.2}s  {speedup:>6}  sessions={} parallel={} \
-                 exchanged={} imported={}  -> {verdict}",
+                "  pool={pool}  {wall:>7.2}s  {speedup:>6}  sessions={} parallel={}  -> {verdict}",
                 snap.gauge("pool.sessions").unwrap_or(0),
                 snap.counter("obligations.parallel"),
-                snap.counter("learnts.exchanged"),
-                snap.counter("learnts.imported"),
             );
         }
         println!();

@@ -264,25 +264,6 @@ fn pooled_outcomes_identical_across_pool_sizes() {
 }
 
 #[test]
-fn pooled_matches_sequential_without_learnt_exchange() {
-    // The learnt-clause ring only changes solver-internal effort; switching
-    // it off must not move any verdict or outcome class.
-    let _scope = FaultScope::clean();
-    for (label, src, tgt, cfg) in corpus() {
-        let with = check_equivalence_param(&src, &tgt, &cfg, &opts().with_obligation_parallelism(4))
-            .unwrap();
-        let without = check_equivalence_param(
-            &src,
-            &tgt,
-            &cfg,
-            &opts().with_obligation_parallelism(4).without_learnt_exchange(),
-        )
-        .unwrap();
-        assert_reports_agree(&format!("{label} (exchange on/off)"), &with, &without, true);
-    }
-}
-
-#[test]
 fn pooled_screen_engages_and_merges_deterministically() {
     // Guard against vacuous passes: assert via the metrics registry that
     // the clean multi-output pair actually ran through the pool (sessions

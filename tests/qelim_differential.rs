@@ -3,15 +3,16 @@
 //! it up the ladder.
 //!
 //! * On every corpus pair and on fuzzed `KernelGen` kernels, checking with
-//!   `generalized_qelim` on and off (× incremental/one-shot backends,
-//!   × sequential/pooled obligation screens) returns identically rendered
-//!   verdicts at the `Param` rung whenever both sides can run it.
+//!   the elimination on and off (the `core::qelim` failpoint armed;
+//!   × incremental/one-shot backends, × sequential/pooled obligation
+//!   screens) returns identically rendered verdicts at the `Param` rung
+//!   whenever both sides can run it.
 //! * The grid-stride pair is the rung-improvement witness: with the
 //!   generalized elimination the `Param` rung proves it sound for every
 //!   block size; without it the rung fails on the symbolic-stride loop and
 //!   the ladder descends to `NonParam(4)` with downgrade provenance.
-//! * The `core::qelim` failpoint aborts the elimination mid-run: the rung
-//!   must degrade to the legacy residual-drop path (same downgrade note,
+//! * An armed `core::qelim` failpoint aborts the elimination mid-run: the
+//!   rung must degrade to the residual-drop path (downgrade note,
 //!   `qelim.residual_dropped` counted), never to a wrong answer.
 //!
 //! Failpoints are process-global and this binary's tests run concurrently,
@@ -50,6 +51,16 @@ impl Drop for FaultScope {
     fn drop(&mut self) {
         failpoints::reset();
     }
+}
+
+/// Run `f` with the generalized elimination switched off: the
+/// `core::qelim` failpoint armed for the call only. Callers hold a
+/// [`FaultScope`].
+fn qelim_aborted<T>(f: impl FnOnce() -> T) -> T {
+    failpoints::arm("core::qelim", Fault::BudgetExhausted);
+    let r = f();
+    failpoints::disarm("core::qelim");
+    r
 }
 
 fn load(src: &str) -> KernelUnit {
@@ -119,10 +130,8 @@ fn corpus_grid_verdicts_identical() {
                         o = o.one_shot();
                     }
                     o = if pooled { o.with_obligation_parallelism(4) } else { o.sequential() };
-                    if qelim_off {
-                        o = o.no_generalized_qelim();
-                    }
-                    let r = check_equivalence_param(&src, &tgt, &cfg, &o).unwrap();
+                    let check = || check_equivalence_param(&src, &tgt, &cfg, &o).unwrap();
+                    let r = if qelim_off { qelim_aborted(check) } else { check() };
                     assert_eq!(
                         format!("{}", r.verdict),
                         format!("{}", reference.verdict),
@@ -149,22 +158,16 @@ fn kernelgen_grid_verdicts_identical() {
         let unit = load(&src);
         let cfg = GpuConfig::symbolic_1d(8);
         let on = run_resilient(&unit, &unit, &cfg, &RunnerOptions::default());
-        let off =
-            run_resilient(&unit, &unit, &cfg, &RunnerOptions::default().no_generalized_qelim());
+        let off = qelim_aborted(|| run_resilient(&unit, &unit, &cfg, &RunnerOptions::default()));
         assert_eq!(
             format!("{}", on.verdict),
             format!("{}", off.verdict),
             "seed {i}: ladder verdict diverges with the elimination off\n{src}"
         );
         for one_shot in [false, true] {
-            let mut a = opts();
-            let mut b = opts().no_generalized_qelim();
-            if one_shot {
-                a = a.one_shot();
-                b = b.one_shot();
-            }
-            let ra = check_equivalence_param(&unit, &unit, &cfg, &a).unwrap();
-            let rb = check_equivalence_param(&unit, &unit, &cfg, &b).unwrap();
+            let o = if one_shot { opts().one_shot() } else { opts() };
+            let ra = check_equivalence_param(&unit, &unit, &cfg, &o).unwrap();
+            let rb = qelim_aborted(|| check_equivalence_param(&unit, &unit, &cfg, &o).unwrap());
             assert_eq!(
                 format!("{}", ra.verdict),
                 format!("{}", rb.verdict),
@@ -193,7 +196,7 @@ fn stride_pair_improves_rung() {
     );
     assert!(on.provenance.soundness_note.is_none());
 
-    let off = run_resilient(&src, &tgt, &cfg, &RunnerOptions::default().no_generalized_qelim());
+    let off = qelim_aborted(|| run_resilient(&src, &tgt, &cfg, &RunnerOptions::default()));
     assert_eq!(
         off.provenance.answered_by,
         Some(Rung::NonParam { n: 4 }),
@@ -214,8 +217,8 @@ fn stride_pair_improves_rung() {
 }
 
 /// Aborting the elimination mid-run via the `core::qelim` failpoint
-/// degrades to the legacy residual-drop path: same downgrade provenance as
-/// turning the flag off, and the drop is counted.
+/// degrades to the residual-drop path with downgrade provenance, and the
+/// drop is counted.
 #[test]
 fn qelim_failpoint_degrades_with_provenance() {
     let _scope = FaultScope::armed(&[("core::qelim", Fault::BudgetExhausted)]);
